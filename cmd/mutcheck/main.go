@@ -48,7 +48,6 @@ func run() int {
 	trials := flag.Int("trials", 120, "randomized trials per surviving mutant")
 	fullOuter := flag.Bool("full-outer", false, "include mutations to FULL OUTER JOIN (the paper's tables exclude them)")
 	parallel := flag.Int("parallel", 0, "workers for generation and kill-matrix evaluation (0 = all CPUs, 1 = sequential); output is identical for every value")
-	solverParallel := flag.Int("solver-parallel", 0, "intra-goal solver workers per kill goal (component-parallel search and speculative restarts), clamped so goal workers x intra-goal workers never exceed -parallel; 0 or 1 = sequential solves")
 	engineMode := flag.String("engine", "compiled", "kill-matrix executor: compiled (columnar, family prefix sharing) or interp (row-at-a-time reference); the report is identical for either")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited); on expiry the partial results are reported and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
@@ -86,7 +85,6 @@ func run() int {
 
 	genOpts := xdata.DefaultOptions()
 	genOpts.Parallelism = *parallel
-	genOpts.SolverParallelism = *solverParallel
 	genOpts.GoalTimeout = *goalTimeout
 	genOpts.GoalNodeLimit = *goalNodes
 	suite, err := xdata.GenerateContext(ctx, q, genOpts)
@@ -97,7 +95,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "mutcheck:", err)
 		} else {
 			// Option-validation rejections (e.g. a negative
-			// -solver-parallel) are flag misuse: exit 2, not 1.
+			// -parallel) are flag misuse: exit 2, not 1.
 			return inputFail(err)
 		}
 	}

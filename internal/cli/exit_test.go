@@ -38,9 +38,9 @@ func TestInputExitCode(t *testing.T) {
 		t.Fatal("garbage should not parse")
 	}
 
-	badOpts := (&core.Options{SolverParallelism: -3}).Validate()
+	badOpts := (&core.Options{Parallelism: -3}).Validate()
 	if badOpts == nil || !errors.Is(badOpts, core.ErrBadOptions) {
-		t.Fatalf("negative SolverParallelism should be ErrBadOptions, got %v", badOpts)
+		t.Fatalf("negative Parallelism should be ErrBadOptions, got %v", badOpts)
 	}
 
 	cases := []struct {

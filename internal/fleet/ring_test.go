@@ -3,6 +3,7 @@ package fleet
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +67,25 @@ func TestContentKeyCanonical(t *testing.T) {
 	opts3.GoalNodeLimit = 12345
 	if ContentKey(sch, qa, opts) == ContentKey(sch, qa, opts3) {
 		t.Fatal("different budgets must get different keys")
+	}
+}
+
+// TestContentKeyVersion pins the key schema version: a body whose shape
+// changed (the speculative-restart counter left generate and analyze
+// bodies) must never be served from a disk cache written under the old
+// version's keys.
+func TestContentKeyVersion(t *testing.T) {
+	sch, err := sqlparser.ParseSchema(ringTestDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := qtree.BuildSQL(sch, `SELECT * FROM instructor i WHERE i.salary > 50`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := keyText(sch, q, core.DefaultOptions())
+	if !strings.HasPrefix(text, "xdata-key-v2\x00") {
+		t.Fatalf("key rendering starts %q, want the xdata-key-v2 prefix", text[:min(len(text), 16)])
 	}
 }
 

@@ -38,17 +38,6 @@ type Arena struct {
 	// scores, canonical-key buffers, bounds memo, trail backing) is what
 	// makes repeat solves allocation-free.
 	st kstate
-	// workers recycles the per-worker search views (and their private
-	// scratch) used by component-parallel solves.
-	workers []kworker
-}
-
-// kworker is one component-parallel worker's private search state: a
-// kstate view sharing the solve's immutable layout and (disjoint-write)
-// domain arrays, plus the scratch that cannot be shared between
-// concurrently searching workers.
-type kworker struct {
-	st kstate
 }
 
 // grow returns s with length n, reusing capacity when possible. The
@@ -73,5 +62,4 @@ func (st *kstate) reset() {
 	st.ceil = 0
 	st.checked = 0
 	st.propVisits = 0
-	st.cacheHits = 0
 }

@@ -75,6 +75,49 @@ func TestSolveContextCancelMidSearch(t *testing.T) {
 	}
 }
 
+// TestSolveContextCancelDecomposed cancels a decomposed kernel solve
+// stuck on a hard UNSAT component (after its smaller SAT siblings have
+// been solved) and requires a prompt ErrCanceled.
+func TestSolveContextCancelDecomposed(t *testing.T) {
+	s := multiComponent(4)
+	// One pigeonhole component whose refutation takes far longer than
+	// the cancellation delay.
+	const n = 12
+	ph := make([]VarID, n)
+	hole := make([]int64, n-1)
+	for i := range hole {
+		hole[i] = int64(i)
+	}
+	for i := range ph {
+		ph[i] = s.NewVar(fmt.Sprintf("ph%d", i), hole)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			s.Assert(NewCmp(sqltypes.OpNE, V(ph[i]), V(ph[j])))
+		}
+	}
+
+	before := testutil.GoroutineSnapshot()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := s.SolveContext(ctx, Options{Unfold: true, Decompose: true})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled decomposed solve: got %v, want ErrCanceled (after %v)", err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancellation not prompt: took %v", elapsed)
+	}
+	if got := s.LastStats().ComponentCount; got != 5 {
+		t.Errorf("ComponentCount = %d, want 5 (four SAT groups plus the pigeonhole)", got)
+	}
+	// Slack 1 for the canceler goroutine above.
+	testutil.RequireNoGoroutineLeak(t, before, 1)
+}
+
 func TestSolveContextUnaffectedWhenNotCanceled(t *testing.T) {
 	s := New()
 	x := s.NewVar("x", dom(1, 2, 3))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sqltypes"
@@ -388,7 +387,7 @@ func (c *ComponentCache) release(key string) {
 }
 
 // solveComponents is the Decompose solve driver.
-func (s *Solver) solveComponents(st *kstate, a *Arena, opts Options) error {
+func (s *Solver) solveComponents(st *kstate, cache *ComponentCache) error {
 	comps, conflict := st.componentize()
 	if conflict {
 		return ErrUnsat
@@ -434,9 +433,6 @@ func (s *Solver) solveComponents(st *kstate, a *Arena, opts Options) error {
 			}
 		}
 	}
-	if opts.Parallel > 1 && len(comps) > 1 {
-		return s.solveComponentsParallel(st, a, comps, opts)
-	}
 	for i := range comps {
 		c := &comps[i]
 		if len(c.clauses) == 0 {
@@ -445,188 +441,11 @@ func (s *Solver) solveComponents(st *kstate, a *Arena, opts Options) error {
 			st.assign(v, st.firstLive(v))
 			continue
 		}
-		if err := st.solveComp(c, opts.Cache); err != nil {
+		if err := s.solveComp(st, c, cache); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// solveComponentsParallel fans the sorted components out to a bounded
-// worker pool. Correctness rests on decomposition disjointness: each
-// live clause and each unassigned representative belongs to exactly one
-// component, so workers sharing the solve's domain words, counters,
-// assignment arrays and bounds memo write disjoint index ranges and
-// need no locks. Each worker carries a private kstate view (trail,
-// propagation queue, value buffers, key scratch — everything a search
-// mutates non-disjointly) recycled on the arena, plus a private watch
-// table filtered to the component at hand (see buildCompWatch).
-//
-// Determinism: a component's search is a pure function of the component
-// (node ceilings are relative to the attempt's start), so models and
-// per-component node counts — and therefore their totals — match the
-// sequential driver whenever the global node budget does not bind.
-// Each worker gets the full remaining budget, so a budget-bound
-// parallel solve may expand more total nodes than a sequential one
-// before failing; like wall-clock deadlines, binding budgets trade
-// exact replay for fail-fast parallelism. The first component failure
-// closes the stop channel and cancels the rest (severity order below
-// keeps the reported error stable: UNSAT beats budget exhaustion beats
-// the cancellations it induced).
-func (s *Solver) solveComponentsParallel(st *kstate, a *Arena, comps []kcomp, opts Options) error {
-	nw := opts.Parallel
-	if nw > len(comps) {
-		nw = len(comps)
-	}
-	// Clause -> component index + 1, for filtering per-component watch
-	// lists out of the parent table (0 = satisfied-True clause: imposes
-	// nothing and is safe to drop from every list).
-	st.clOf = grow(st.clOf, len(st.clauses))
-	for i := range st.clOf {
-		st.clOf[i] = 0
-	}
-	for i := range comps {
-		for _, ci := range comps[i].clauses {
-			st.clOf[ci] = int32(i) + 1
-		}
-	}
-	for len(a.workers) < nw {
-		a.workers = append(a.workers, kworker{})
-	}
-	// stop is the fail-fast fan-out: closed by the first worker to see a
-	// component fail (or panic). merged relays whichever of stop / the
-	// solve's own cancellation fires first into the workers' done
-	// channel; the watcher exits once the dispatch closes stop on the
-	// way out, so no goroutine outlives this call.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	merged := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-stop:
-		case <-st.done:
-		}
-		close(merged)
-	}()
-
-	errs := make([]error, len(comps))
-	panics := make([]any, nw)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		ws := &a.workers[wi].st
-		ws.reset()
-		ws.cand, ws.off, ws.rep = st.cand, st.off, st.rep
-		ws.words, ws.count, ws.assigned, ws.value = st.words, st.count, st.assigned, st.value
-		ws.clauses, ws.cvars = st.clauses, st.cvars
-		ws.degree = st.degree
-		ws.dver, ws.bver, ws.bmin, ws.bmax = st.dver, st.bver, st.bmin, st.bmax
-		ws.lcv = st.lcv
-		ws.limit = st.limit - st.nodes
-		ws.deadline = st.deadline
-		ws.done = merged
-		wg.Add(1)
-		go func(wi int, ws *kstate) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[wi] = r
-					halt()
-				}
-			}()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(comps) {
-					return
-				}
-				if canceled(ws.done) {
-					errs[idx] = ErrCanceled
-					return
-				}
-				c := &comps[idx]
-				if len(c.clauses) == 0 {
-					// Isolated variable: preference-order value survives.
-					v := c.vars[0]
-					ws.assign(v, ws.firstLive(v))
-					continue
-				}
-				if err, injected := injectComponentFault(ws.done, ws.deadline, opts.Label); injected {
-					errs[idx] = err
-					halt()
-					return
-				}
-				ws.buildCompWatch(st.watch, st.clOf, int32(idx)+1, c)
-				if err := ws.solveComp(c, opts.Cache); err != nil {
-					errs[idx] = err
-					halt()
-					return
-				}
-			}
-		}(wi, ws)
-	}
-	wg.Wait()
-	halt()
-	<-watcherDone
-	// Fold worker counters in fixed worker order (sums are order-free,
-	// but keep the walk deterministic anyway).
-	for wi := 0; wi < nw; wi++ {
-		ws := &a.workers[wi].st
-		st.nodes += ws.nodes
-		st.checked += ws.checked
-		st.propVisits += ws.propVisits
-		st.cacheHits += ws.cacheHits
-	}
-	for wi := 0; wi < nw; wi++ {
-		if panics[wi] != nil {
-			// Re-raise on the solve's own goroutine so upstream fault
-			// recovery observes exactly what a sequential solve would.
-			panic(panics[wi])
-		}
-	}
-	var limitErr, otherErr error
-	for i := range errs {
-		switch {
-		case errs[i] == nil:
-		case errors.Is(errs[i], ErrUnsat):
-			return ErrUnsat
-		case errors.Is(errs[i], ErrLimit):
-			if limitErr == nil {
-				limitErr = errs[i]
-			}
-		default:
-			if otherErr == nil {
-				otherErr = errs[i]
-			}
-		}
-	}
-	if limitErr != nil {
-		return limitErr
-	}
-	return otherErr
-}
-
-// buildCompWatch installs the component's watch lists into the
-// worker's private table by filtering the parent solve's lists through
-// the clause->component map, preserving parent order so propagation
-// visits clauses in exactly the sequential sequence. Dropped entries
-// are satisfied-True clauses (stable under domain narrowing, so their
-// visits are no-ops) — a live clause mentioning an unassigned variable
-// of this component is, by construction, in this component.
-func (st *kstate) buildCompWatch(parent [][]int32, clOf []int32, comp int32, c *kcomp) {
-	st.ownWatch = grow(st.ownWatch, len(st.rep))
-	st.watch = st.ownWatch
-	for _, v := range c.vars {
-		dst := st.ownWatch[v][:0]
-		for _, ci := range parent[v] {
-			if clOf[ci] == comp {
-				dst = append(dst, ci)
-			}
-		}
-		st.ownWatch[v] = dst
-	}
 }
 
 // compLess is the solve order: lighter first, then fewer variables,
@@ -642,10 +461,7 @@ func compLess(a, b *kcomp) bool {
 }
 
 // solveComp solves one component, consulting the cache when configured.
-// It is a kstate method (not a Solver one) so component-parallel
-// workers can run it without touching Solver.last: cache hits count on
-// the per-worker kstate and fold into Stats after the join.
-func (st *kstate) solveComp(c *kcomp, cache *ComponentCache) error {
+func (s *Solver) solveComp(st *kstate, c *kcomp, cache *ComponentCache) error {
 	if cache == nil {
 		return st.searchVars(c.vars)
 	}
@@ -655,7 +471,7 @@ func (st *kstate) solveComp(c *kcomp, cache *ComponentCache) error {
 		return err
 	}
 	if !claimed {
-		st.cacheHits++
+		s.last.ComponentCacheHits++
 		if res.unsat {
 			return ErrUnsat
 		}

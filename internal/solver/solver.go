@@ -18,6 +18,9 @@
 //     are the work that unfolding eliminates; LastStats exposes them.
 //
 // Both modes are sound and complete over the given finite domains.
+// Every solve runs sequentially on the calling goroutine; concurrency
+// comes from callers running independent solves (one per kill goal) at
+// once, which share only a ComponentCache and a Base.
 // String values are handled by the caller encoding them as integers over
 // an order-preserving pool (see the core package).
 package solver
@@ -283,31 +286,6 @@ type Options struct {
 	// across kill goals (and across datasets) are solved once. Safe
 	// for concurrent use; see ComponentCache.
 	Cache *ComponentCache
-	// Parallel, when > 1 and Decompose is set, solves independent
-	// constraint components on up to Parallel concurrent workers
-	// instead of strictly smallest-first. Components are variable- and
-	// clause-disjoint, each worker searches with a private trail and
-	// budget ladder identical to the sequential one, and results land
-	// in the same disjoint domain regions — so models and per-component
-	// node counts are identical to the sequential solve (the assembly
-	// is deterministic). A failing component cancels its siblings
-	// (fail-fast); sibling cancellation is absorbed, and the solve's
-	// error is chosen by severity (UNSAT > limit > cancellation) so the
-	// outcome does not depend on worker timing. <= 1 means sequential.
-	Parallel int
-	// Speculate, when > 1, runs the legacy (non-kernel) restart ladder
-	// speculatively: each restart round launches up to Speculate
-	// diversified searches (distinct deterministic value-order seeds)
-	// concurrently, the lowest-indexed successful attempt wins, and
-	// higher-indexed racers are canceled as soon as a better attempt
-	// succeeds (first-winner cancellation). The winning model is a pure
-	// function of the problem — lower-indexed racers always run to
-	// their deterministic conclusion before a higher one is accepted —
-	// but the node counts of canceled racers depend on timing, so
-	// Stats.Nodes is only deterministic with Speculate <= 1. Losers'
-	// nodes fold into Stats.Nodes honestly. Ignored by the bitset
-	// kernel path (which restarts per component instead).
-	Speculate int
 	// Arena, when non-nil, recycles the kernel's per-solve allocations
 	// (see Arena). The arena must not be shared by concurrent solves.
 	Arena *Arena
@@ -353,10 +331,6 @@ type Stats struct {
 	// PrepareBase and reused here instead of being recomputed (0 when
 	// no base is attached).
 	BasePropagationNodes int64
-	// SpeculativeRuns counts speculative restart racers launched beyond
-	// the per-round winner candidate (0 unless Options.Speculate > 1).
-	// Their search nodes are folded into Nodes.
-	SpeculativeRuns int64
 }
 
 // Solver accumulates variables and constraints.
@@ -502,12 +476,9 @@ func (s *Solver) SolveContext(ctx context.Context, opts Options) (Model, error) 
 		return s.solveKernel(done, limit, deadline, opts)
 	}
 	if opts.Unfold {
-		if opts.Speculate > 1 {
-			return s.solveUnfoldedSpec(done, limit, deadline, opts.Speculate)
-		}
 		return s.solveUnfolded(done, limit, deadline)
 	}
-	return s.solveQuantified(done, limit, deadline, opts.Speculate)
+	return s.solveQuantified(done, limit, deadline)
 }
 
 // flatten expands Quant nodes into And/Or recursively. Subtrees without

@@ -326,21 +326,13 @@ func TestModesAgreeProperty(t *testing.T) {
 		if (eu == nil) != (eq == nil) {
 			t.Fatalf("iter %d: modes disagree: unfolded=%v quantified=%v", iter, eu, eq)
 		}
-		// Wave-2 execution strategies (component parallelism on the
-		// kernel path, speculation on both legacy paths) must preserve
-		// the SAT/UNSAT outcome and produce valid models.
-		mp, ep := s.Solve(Options{Unfold: true, Decompose: true, Parallel: 4})
-		ms, es := s.Solve(Options{Unfold: true, Speculate: 3})
-		mqs, eqs := s.Solve(Options{Unfold: false, Speculate: 3})
-		for name, err := range map[string]error{"parallel": ep, "speculative": es, "quantified-speculative": eqs} {
-			if (eu == nil) != (err == nil) {
-				t.Fatalf("iter %d: %s mode disagrees: unfolded=%v %s=%v", iter, name, eu, name, err)
-			}
+		// The decomposed kernel must preserve the SAT/UNSAT outcome and
+		// produce valid models.
+		md, ed := s.Solve(Options{Unfold: true, Decompose: true})
+		if (eu == nil) != (ed == nil) {
+			t.Fatalf("iter %d: kernel-decompose mode disagrees: unfolded=%v kernel-decompose=%v", iter, eu, ed)
 		}
-		for name, m := range map[string]Model{
-			"unfolded": mu, "quantified": mq,
-			"parallel": mp, "speculative": ms, "quantified-speculative": mqs,
-		} {
+		for name, m := range map[string]Model{"unfolded": mu, "quantified": mq, "kernel-decompose": md} {
 			if m == nil {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"sync"
 	"time"
 
@@ -40,38 +41,30 @@ type ServiceBench struct {
 	Counters service.Counters `json:"counters"`
 }
 
-// addCounters accumulates the counters the benchmark report pins.
+// addCounters sums one member's /statsz counters into dst. It walks the
+// struct by reflection and adds every integer field at any depth (the
+// embedded fleet counters, engine.ExecCounts, the durable tier's
+// counters), so a counter added to service.Counters is summed without
+// an edit here; gauges and epochs are summed too, as fleet totals.
+// Booleans (Draining, Durable.Enabled) report whether any member had
+// them set; strings keep dst's value.
 func addCounters(dst *service.Counters, c service.Counters) {
-	dst.Admitted += c.Admitted
-	dst.Shed += c.Shed
-	dst.Completed += c.Completed
-	dst.Partial += c.Partial
-	dst.Failed += c.Failed
-	dst.Rejected += c.Rejected
-	dst.ClientDisconnects += c.ClientDisconnects
-	dst.PanicsRecovered += c.PanicsRecovered
-	dst.BudgetExpired += c.BudgetExpired
-	dst.Drained += c.Drained
-	dst.DegradedServes += c.DegradedServes
-	dst.CacheCounters.Hits += c.CacheCounters.Hits
-	dst.CacheCounters.Misses += c.CacheCounters.Misses
-	dst.CacheCounters.Evictions += c.CacheCounters.Evictions
-	dst.CacheCounters.Corruptions += c.CacheCounters.Corruptions
-	dst.CacheCounters.StaleEpoch += c.CacheCounters.StaleEpoch
-	dst.CacheCounters.Collapsed += c.CacheCounters.Collapsed
-	dst.CacheCounters.Bytes += c.CacheCounters.Bytes
-	dst.CacheCounters.Entries += c.CacheCounters.Entries
-	dst.CacheCounters.DiskHits += c.CacheCounters.DiskHits
-	dst.CacheCounters.CorruptDrops += c.CacheCounters.CorruptDrops
-	dst.BundlesWritten += c.BundlesWritten
-	dst.BundleErrors += c.BundleErrors
-	dst.RouterCounters.Forwards += c.RouterCounters.Forwards
-	dst.RouterCounters.ForwardErrors += c.RouterCounters.ForwardErrors
-	dst.RouterCounters.Retries += c.RouterCounters.Retries
-	dst.RouterCounters.Hedges += c.RouterCounters.Hedges
-	dst.RouterCounters.HedgeWins += c.RouterCounters.HedgeWins
-	dst.RouterCounters.BreakerOpens += c.RouterCounters.BreakerOpens
-	dst.RouterCounters.BreakerSkips += c.RouterCounters.BreakerSkips
+	addFields(reflect.ValueOf(dst).Elem(), reflect.ValueOf(c))
+}
+
+func addFields(dst, src reflect.Value) {
+	switch dst.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		dst.SetInt(dst.Int() + src.Int())
+	case reflect.Bool:
+		dst.SetBool(dst.Bool() || src.Bool())
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			if dst.Field(i).CanSet() {
+				addFields(dst.Field(i), src.Field(i))
+			}
+		}
+	}
 }
 
 // serviceBenchDDL/SQL: the Example-2 style workload used by the

@@ -76,13 +76,6 @@ type Options struct {
 	// reported number is identical for every value; only wall-clock
 	// timings change.
 	Parallelism int
-	// SolverParallelism is the intra-goal solver worker share
-	// (core Options.SolverParallelism): component-level parallelism and
-	// speculative restarts inside one solve. Kernel-path suites and node
-	// counts are byte-identical for every value; speculation on the
-	// legacy paths may change which model is found (never whether one
-	// exists).
-	SolverParallelism int
 	// Context, when non-nil, cancels the experiment cooperatively
 	// between and inside cells: runners return the rows completed so
 	// far together with the cancellation error, so partial benchmark
@@ -109,7 +102,6 @@ func runCell(bq university.BenchQuery, fk int, opts Options) (Row, error) {
 
 	genOpts := core.DefaultOptions()
 	genOpts.Parallelism = opts.Parallelism
-	genOpts.SolverParallelism = opts.SolverParallelism
 	if opts.InputTuples > 0 {
 		genOpts.InputDB = university.SampleDB(sch, opts.InputTuples)
 		genOpts.ForceInputTuples = opts.ForceInputTuples
@@ -314,7 +306,6 @@ func RunBaseline(opts Options) ([]BaselineRow, error) {
 
 		genOpts := core.DefaultOptions()
 		genOpts.Parallelism = opts.Parallelism
-		genOpts.SolverParallelism = opts.SolverParallelism
 		t1 := time.Now()
 		suite, err := core.NewGenerator(q, genOpts).GenerateContext(ctx)
 		if err != nil {
